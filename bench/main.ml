@@ -10,9 +10,8 @@
      dune exec bench/main.exe -- --no-timing # suppress wall-clock lines
                                              # (CI diffs output byte-wise)
      dune exec bench/main.exe -- --micro      # microbenchmarks -> BENCH_micro.json
-     dune exec bench/main.exe -- --sched      # pheap/wheel A/B -> BENCH_sched.json
      dune exec bench/main.exe -- --sim-report # perf baseline -> BENCH_sim.json
-     dune exec bench/main.exe -- --scheduler pheap ...  # queue impl override
+                                             # (events/s: median of 5 runs)
 
    Quick scale uses shorter runs and fewer repetitions than the paper's
    10 x 90 s; the shapes are stable well below that. Sweeps fan their
@@ -150,10 +149,28 @@ let sim_report ~jobs =
       "bench: warning: --jobs %d exceeds the %d physical cores; SMT \
        siblings add no simulation throughput\n%!"
       jobs physical_cores;
-  let _, _, events, wall = single_core_throughput ~duration:(Time_ns.sec 10) in
+  (* The throughput gate reads the median of [samples] runs, not one:
+     on a shared host a single sample swings by about the gate's whole
+     15% margin. The event count is the same in every run (the
+     simulation is deterministic), so the median rate is the rate at
+     the median wall time. *)
+  let samples = 5 in
+  let runs =
+    List.init samples (fun _ ->
+        let _, _, events, wall =
+          single_core_throughput ~duration:(Time_ns.sec 10)
+        in
+        (events, wall))
+  in
+  let events = fst (List.hd runs) in
+  let walls = Array.of_list (List.sort compare (List.map snd runs)) in
+  let wall = walls.(samples / 2) in
   let events_per_sec = events /. wall in
-  Printf.printf "  single-core: %.0f events in %.2fs = %.0f events/s\n%!"
-    events wall events_per_sec;
+  let eps_min = events /. walls.(samples - 1) and eps_max = events /. walls.(0) in
+  Printf.printf
+    "  single-core: %.0f events, median of %d: %.2fs = %.0f events/s \
+     (min %.0f, max %.0f)\n%!"
+    events samples wall events_per_sec eps_min eps_max;
   let cells =
     List.map
       (fun proto -> (Domino_exp.Exp_common.na3, proto))
@@ -211,7 +228,7 @@ let sim_report ~jobs =
   write_json "BENCH_sim.json"
     (Json.Obj
        [
-         ("schema", Json.String "domino-bench-sim/3");
+         ("schema", Json.String "domino-bench-sim/4");
          ("generated_by", Json.String "bench/main.exe --sim-report");
          ("jobs", Json.Int jobs);
          ("physical_cores", Json.Int physical_cores);
@@ -219,9 +236,12 @@ let sim_report ~jobs =
          ( "single_core",
            Json.Obj
              [
+               ("samples", Json.Int samples);
                ("sim_events", Json.Float events);
                ("wall_s", Json.Float wall);
                ("events_per_sec", Json.Float events_per_sec);
+               ("events_per_sec_min", Json.Float eps_min);
+               ("events_per_sec_max", Json.Float eps_max);
              ] );
          ( "sweep",
            Json.Obj
@@ -271,173 +291,6 @@ let sim_report ~jobs =
              ] );
        ])
 
-(* --- scheduler A/B: BENCH_sched.json --- *)
-
-(* Hand-rolled timing rather than bechamel: the patterns need exact
-   control over pending-set size (1k and 100k entries), and a single
-   100k-entry round is already milliseconds — enough to time directly.
-   Median of [runs] rounds, after one warmup. *)
-let median_ns_per_op ~runs ~ops f =
-  ignore (f ());
-  let samples =
-    Array.init runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        f ();
-        (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int ops)
-  in
-  Array.sort compare samples;
-  samples.(runs / 2)
-
-(* A common face over the two queue implementations. Times come from a
-   cheap LCG so both sides see the identical (and scattered) stream. *)
-type queue_ops = {
-  q_push : time:int -> unit;
-  q_push_cancellable : time:int -> (unit -> unit);
-  q_pop : unit -> bool;
-}
-
-let pheap_ops () =
-  let open Domino_sim in
-  let h = Pheap.create () in
-  {
-    q_push = (fun ~time -> ignore (Pheap.push h ~time 0));
-    q_push_cancellable =
-      (fun ~time ->
-        let handle = Pheap.push h ~time 0 in
-        fun () -> Pheap.cancel h handle);
-    q_pop = (fun () -> Pheap.pop h <> None);
-  }
-
-let wheel_ops () =
-  let open Domino_sim in
-  let w = Wheel.create ~dummy:0 in
-  {
-    q_push = (fun ~time -> Wheel.add w ~time 0);
-    q_push_cancellable =
-      (fun ~time ->
-        let handle = Wheel.push w ~time 0 in
-        fun () -> Wheel.cancel w handle);
-    q_pop = (fun () -> Wheel.pop w <> None);
-  }
-
-let lcg_times n =
-  (* Deterministic scattered times: spacings up to ~65 us keep entries
-     across several wheel levels, like simulation traffic. *)
-  (* Java's 48-bit LCG: multiplier fits OCaml's 63-bit int. *)
-  let state = ref 0x5DEECE66D in
-  Array.init n (fun _ ->
-      state := ((!state * 0x5DEECE66D) + 0xB) land 0xFFFF_FFFF_FFFF;
-      (!state lsr 16) land 0xFFFF_FFF)
-
-let sched_pattern_push_pop mk n () =
-  let q = mk () in
-  let times = lcg_times n in
-  Array.iter (fun time -> q.q_push ~time) times;
-  while q.q_pop () do
-    ()
-  done
-
-let sched_pattern_cancel_heavy mk n () =
-  let q = mk () in
-  let times = lcg_times n in
-  let cancels = Array.map (fun time -> q.q_push_cancellable ~time) times in
-  Array.iteri (fun i cancel -> if i land 1 = 0 then cancel ()) cancels;
-  while q.q_pop () do
-    ()
-  done
-
-let sched_pattern_periodic scheduler n () =
-  let open Domino_sim in
-  let e = Engine.create ~scheduler () in
-  for i = 0 to n - 1 do
-    ignore
-      (Engine.every e
-         ~interval:(Time_ns.ms 1 + (i land 0xFF))
-         (fun () -> ()))
-  done;
-  Engine.run ~until:(Time_ns.ms 5) e
-
-let sched () =
-  let open Domino_sim in
-  let impls =
-    [
-      ("pheap", Engine.Pheap_sched, pheap_ops);
-      ("wheel", Engine.Wheel_sched, wheel_ops);
-    ]
-  in
-  let sizes = [ ("1k", 1_000); ("100k", 100_000) ]
-  and runs = 5 in
-  Printf.printf "scheduler microbenchmarks (ns/op, median of %d):\n%!" runs;
-  let results =
-    List.map
-      (fun (impl_name, scheduler, mk) ->
-        let cells =
-          List.concat_map
-            (fun (size_name, n) ->
-              [
-                ( "push-pop-" ^ size_name,
-                  median_ns_per_op ~runs ~ops:(2 * n)
-                    (sched_pattern_push_pop mk n) );
-                ( "cancel-heavy-" ^ size_name,
-                  median_ns_per_op ~runs ~ops:(2 * n)
-                    (sched_pattern_cancel_heavy mk n) );
-                ( "periodic-" ^ size_name,
-                  (* ~5 fires per timer inside the 5 ms horizon *)
-                  median_ns_per_op ~runs ~ops:(5 * n)
-                    (sched_pattern_periodic scheduler n) );
-              ])
-            sizes
-        in
-        List.iter
-          (fun (pat, ns) -> Printf.printf "  %-8s %-18s %10.1f ns\n" impl_name pat ns)
-          cells;
-        (impl_name, cells))
-      impls
-  in
-  (* End-to-end A/B: the full reference simulation under each queue.
-     Identical event streams (the queues share one total order), so the
-     wall-clock ratio is pure scheduler overhead. *)
-  let ab =
-    List.map
-      (fun (impl_name, scheduler, _) ->
-        Engine.set_default_scheduler scheduler;
-        let _, _, events, wall = single_core_throughput ~duration:(Time_ns.sec 10) in
-        Printf.printf "  %-8s end-to-end: %.0f events in %.2fs = %.0f events/s\n%!"
-          impl_name events wall (events /. wall);
-        (impl_name, events, wall))
-      impls
-  in
-  Engine.set_default_scheduler Engine.Wheel_sched;
-  write_json "BENCH_sched.json"
-    (Json.Obj
-       [
-         ("schema", Json.String "domino-bench-sched/1");
-         ("generated_by", Json.String "bench/main.exe --sched");
-         ("unit", Json.String "ns/op");
-         ("runs_per_cell", Json.Int runs);
-         ( "results",
-           Json.Obj
-             (List.map
-                (fun (impl_name, cells) ->
-                  ( impl_name,
-                    Json.Obj
-                      (List.map (fun (pat, ns) -> (pat, Json.Float ns)) cells)
-                  ))
-                results) );
-         ( "sim_ab",
-           Json.Obj
-             (List.map
-                (fun (impl_name, events, wall) ->
-                  ( impl_name,
-                    Json.Obj
-                      [
-                        ("sim_events", Json.Float events);
-                        ("wall_s", Json.Float wall);
-                        ("events_per_sec", Json.Float (events /. wall));
-                      ] ))
-                ab) );
-       ])
-
 (* --- Bechamel microbenchmarks for the core data structures --- *)
 
 let micro () =
@@ -463,31 +316,6 @@ let micro () =
              s := Interval_set.add_range ~lo:(i * 3) ~hi:((i * 3) + 4) !s
            done;
            ignore (Interval_set.range_count !s)))
-  in
-  let heap_bench =
-    Test.make ~name:"pheap-1k-push-pop"
-      (Staged.stage (fun () ->
-           let open Domino_sim in
-           let h = Pheap.create () in
-           for i = 0 to 999 do
-             ignore (Pheap.push h ~time:((i * 7919) mod 1000) i)
-           done;
-           let rec drain () = match Pheap.pop h with None -> () | Some _ -> drain () in
-           drain ()))
-  in
-  let heap_cancel_bench =
-    Test.make ~name:"pheap-1k-push-cancel-half"
-      (Staged.stage (fun () ->
-           let open Domino_sim in
-           let h = Pheap.create () in
-           let handles =
-             Array.init 1000 (fun i -> Pheap.push h ~time:((i * 7919) mod 1000) i)
-           in
-           Array.iteri
-             (fun i handle -> if i land 1 = 0 then Pheap.cancel h handle)
-             handles;
-           let rec drain () = match Pheap.pop h with None -> () | Some _ -> drain () in
-           drain ()))
   in
   let wheel_bench =
     Test.make ~name:"wheel-1k-push-pop"
@@ -549,8 +377,8 @@ let micro () =
   let tests =
     Test.make_grouped ~name:"domino-core"
       [
-        window_bench; interval_bench; heap_bench; heap_cancel_bench;
-        wheel_bench; wheel_cancel_bench; engine_bench; exec_bench; zipf_bench;
+        window_bench; interval_bench; wheel_bench; wheel_cancel_bench;
+        engine_bench; exec_bench; zipf_bench;
       ]
   in
   let instances = Instance.[ monotonic_clock ] in
@@ -589,7 +417,7 @@ let micro () =
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
-  (* --jobs N and --scheduler IMPL take a value; strip them first. *)
+  (* --jobs N takes a value; strip it first. *)
   let jobs = ref None in
   let rec strip_valued = function
     | "--jobs" :: v :: rest ->
@@ -597,13 +425,6 @@ let () =
       | Some n when n >= 1 -> jobs := Some n
       | _ ->
         Printf.eprintf "bench: --jobs expects a positive integer, got %S\n" v;
-        exit 2);
-      strip_valued rest
-    | "--scheduler" :: v :: rest ->
-      (match Domino_sim.Engine.scheduler_of_string v with
-      | Some s -> Domino_sim.Engine.set_default_scheduler s
-      | None ->
-        Printf.eprintf "bench: --scheduler expects wheel or pheap, got %S\n" v;
         exit 2);
       strip_valued rest
     | arg :: rest -> arg :: strip_valued rest
@@ -615,13 +436,11 @@ let () =
   let quick = not paper in
   let timing = not (List.mem "--no-timing" args) in
   let micro_only = List.mem "--micro" args in
-  let sched_only = List.mem "--sched" args in
   let sim_report_only = List.mem "--sim-report" args in
   let wanted =
     List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
   in
   if micro_only then micro ()
-  else if sched_only then sched ()
   else if sim_report_only then sim_report ~jobs:(Domino_par.Par.jobs ())
   else begin
     let selected =

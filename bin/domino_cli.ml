@@ -125,21 +125,6 @@ let seed_arg =
   let doc = "Random seed (runs are deterministic per seed)." in
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"N" ~doc)
 
-let scheduler_arg =
-  let doc =
-    "Event-queue implementation: $(b,wheel) (hierarchical timing wheel, \
-     default) or $(b,pheap) (binary heap). Runs are byte-identical \
-     across the two; the flag exists for A/B measurement and as a \
-     fallback."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [ ("wheel", Engine.Wheel_sched); ("pheap", Engine.Pheap_sched) ])
-        Engine.Wheel_sched
-    & info [ "scheduler" ] ~docv:"IMPL" ~doc)
-
 let setting_arg =
   let settings =
     [
@@ -249,10 +234,9 @@ let run_cmd =
                      with --faults (wipe events) and --check to watch \
                      the safety checker catch the violation.")
   in
-  let action seed scheduler setting proto_name duration rate alpha additional
+  let action seed setting proto_name duration rate alpha additional
       percentile metrics_out trace_op fsync_us batch_sync_us no_durability
       journal_out perfetto_out timeline_out timeline_window faults_file check =
-    Engine.set_default_scheduler scheduler;
     let proto = protocol_arg additional percentile proto_name in
     let faults = load_plan faults_file in
     let store =
@@ -363,15 +347,14 @@ let run_cmd =
     | _ -> ());
     match trace_op with
     | Some n ->
-      let tree = Domino_obs.Trace.span_tree r.trace in
-      if tree = "" then
+      if r.trace = "" then
         Format.printf "@.no trace recorded: fewer than %d operations@." (n + 1)
-      else Format.printf "@.%s" tree
+      else Format.printf "@.%s" r.trace
     | None -> ()
   in
   let term =
     Term.(
-      const action $ seed_arg $ scheduler_arg $ setting_arg
+      const action $ seed_arg $ setting_arg
       $ protocol_name_arg $ duration $ rate $ alpha $ additional_delay
       $ percentile $ metrics_out $ trace_op $ fsync_us $ batch_sync_us
       $ no_durability $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
@@ -467,9 +450,8 @@ let experiment_cmd =
              migrations (auto-rebalance) instead of the experiment's planned \
              migration plan. Only the $(b,rebalance) experiment honors it.")
   in
-  let action seed scheduler paper list_only jobs ids journal_out perfetto_out
+  let action seed paper list_only jobs ids journal_out perfetto_out
       timeline_out timeline_window faults_file check rebalance =
-    Engine.set_default_scheduler scheduler;
     let faults = load_plan faults_file in
     (match jobs with
     | Some n -> (
@@ -591,7 +573,7 @@ let experiment_cmd =
     (Cmd.info "experiment"
        ~doc:"Regenerate one (or all) of the paper's tables and figures")
     Term.(
-      const action $ seed_arg $ scheduler_arg $ paper $ list_only $ jobs $ ids
+      const action $ seed_arg $ paper $ list_only $ jobs $ ids
       $ journal_out_arg $ perfetto_out_arg $ timeline_out_arg
       $ timeline_window_arg $ faults_arg $ check_arg $ rebalance)
 

@@ -72,7 +72,7 @@ let protocol_name = Protocols.name
 type result = {
   recorder : Observer.Recorder.t;
   metrics : Metrics.t;
-  trace : Trace.t;
+  trace : string;
   fast_commits : int;
   slow_commits : int;
   extra : (string * int) list;

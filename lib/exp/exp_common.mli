@@ -70,9 +70,9 @@ type result = {
   metrics : Metrics.t;
       (** the run's registry: [run.*] counters and latency histograms,
           per-class [<protocol>.msg.*] counters, [sim.events] *)
-  trace : Trace.t;
-      (** span events of the op selected by [trace_op]; empty
-          otherwise *)
+  trace : string;
+      (** span tree ({!Trace.span_tree}) of the op selected by
+          [trace_op]; empty otherwise *)
   fast_commits : int;  (** protocol-reported fast-path commits, if any *)
   slow_commits : int;
   extra : (string * int) list;
@@ -120,8 +120,8 @@ val run :
 
     [metrics] shares a caller's registry (default: a fresh one, in
     [result.metrics]). [trace_op] selects the Nth submitted operation
-    (0-based, global submit order) for span tracing; without it tracing
-    is disabled and costs nothing.
+    (0-based, global submit order) for span tracing, read off the
+    journal by a tap; without it tracing costs nothing.
 
     [journal] turns on the flight recorder: every network, timer, op
     lifecycle and phase event of the run lands in the given journal,

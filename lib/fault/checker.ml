@@ -204,6 +204,33 @@ let check_seg ~require_complete ~slot_of seg =
           entry := (replica, List.rev !l) :: !entry)
         per_key)
     seg.exec_order;
+  (* The epoch-split rule shared by 2b and 2c. Given the times of the
+     journaled epoch bumps that govern a key, an op's epoch is the
+     number of bumps at or before its first submit; in every replica's
+     per-key sequence no op may execute after an op of a later epoch.
+     [message ~replica op e hi] words a violation. *)
+  let epoch_split seqs bumps message =
+    if bumps <> [] then begin
+      let bumps = List.sort compare bumps in
+      let epoch_of op =
+        match Hashtbl.find_opt seg.submit op with
+        | None -> None
+        | Some s -> Some (List.length (List.filter (fun b -> b <= s) bumps))
+      in
+      List.iter
+        (fun (replica, sq) ->
+          let hi = ref 0 in
+          List.iter
+            (fun op ->
+              match epoch_of op with
+              | None -> ()
+              | Some e ->
+                if e < !hi then violate "%s" (message ~replica op e !hi)
+                else hi := e)
+            sq)
+        seqs
+    end
+  in
   let keys =
     List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key [])
   in
@@ -225,77 +252,32 @@ let check_seg ~require_complete ~slot_of seg =
               replica
               (String.concat " " (List.map opid_str (List.filteri (fun i _ -> i < 6) s))))
         seqs;
-      (* 2b. migration epoch split: once this key's slot has changed
-         owner (a journaled [migrate.epoch] bump), no pre-bump op may
-         execute after a post-bump op in any replica's sequence —
+      (* 2b. migration epoch split, over the key's slot ownership
+         changes: no pre-bump op may execute after a post-bump op —
          otherwise the old owner's log kept growing for the key past the
-         handoff, the double-owner failure mode. An op's epoch is the
-         number of bumps of its slot before its first submit. *)
+         handoff, the double-owner failure mode. *)
       (match slot_of with
       | None -> ()
       | Some slot_of ->
         let slot = slot_of key in
-        let bumps =
-          List.filter_map
-            (fun (at, s) -> if s = slot then Some at else None)
-            seg.bumps
-          |> List.sort compare
-        in
-        if bumps <> [] then
-          let epoch_of op =
-            match Hashtbl.find_opt seg.submit op with
-            | None -> None
-            | Some s ->
-              Some (List.length (List.filter (fun b -> b <= s) bumps))
-          in
-          List.iter
-            (fun (replica, sq) ->
-              let hi = ref 0 in
-              List.iter
-                (fun op ->
-                  match epoch_of op with
-                  | None -> ()
-                  | Some e ->
-                    if e < !hi then
-                      violate
-                        "key %d (slot %d): replica %d executed \
-                         pre-migration op %s after a post-migration op \
-                         (epoch %d after %d)"
-                        key slot replica (opid_str op) e !hi
-                    else hi := e)
-                sq)
-            seqs);
-      (* 2c. reconfig epoch split: ops submitted under the old
-         membership (before a journaled [reconfig.epoch] bump) must not
-         execute after ops submitted under the new one in any replica's
-         per-key sequence — the stop-the-world drain guarantees the
-         boundary is clean. Per-key, like 2b: leaderless protocols
-         legitimately reorder across keys. *)
-      (let rbumps = List.sort compare seg.rbumps in
-       if rbumps <> [] then
-         let epoch_of op =
-           match Hashtbl.find_opt seg.submit op with
-           | None -> None
-           | Some s ->
-             Some (List.length (List.filter (fun b -> b <= s) rbumps))
-         in
-         List.iter
-           (fun (replica, sq) ->
-             let hi = ref 0 in
-             List.iter
-               (fun op ->
-                 match epoch_of op with
-                 | None -> ()
-                 | Some e ->
-                   if e < !hi then
-                     violate
-                       "key %d: replica %d executed pre-reconfig op %s \
-                        after a post-reconfig op (membership epoch %d \
-                        after %d)"
-                       key replica (opid_str op) e !hi
-                   else hi := e)
-               sq)
-           seqs);
+        epoch_split seqs
+          (List.filter_map
+             (fun (at, s) -> if s = slot then Some at else None)
+             seg.bumps)
+          (fun ~replica op e hi ->
+            Printf.sprintf
+              "key %d (slot %d): replica %d executed pre-migration op %s \
+               after a post-migration op (epoch %d after %d)"
+              key slot replica (opid_str op) e hi));
+      (* 2c. reconfig epoch split, over the group's membership changes:
+         the stop-the-world drain guarantees the boundary is clean.
+         Per-key, like 2b: leaderless protocols legitimately reorder
+         across keys. *)
+      epoch_split seqs seg.rbumps (fun ~replica op e hi ->
+          Printf.sprintf
+            "key %d: replica %d executed pre-reconfig op %s after a \
+             post-reconfig op (membership epoch %d after %d)"
+            key replica (opid_str op) e hi);
       (* 3. write-only linearizability (WGL-style real-time check): an
          op that committed before another was submitted must be ordered
          before it in the witness order. *)
@@ -314,15 +296,15 @@ let check_seg ~require_complete ~slot_of seg =
         longest)
     keys;
   (* 4. committed ops must execute somewhere (modulo the drain tail) *)
-  let executed_somewhere op =
-    Hashtbl.fold
-      (fun (_, o) n acc -> acc || (o = op && n > 0))
-      seg.exec_count false
-  in
+  let executed_ops = Hashtbl.create (Hashtbl.length seg.exec_count) in
+  Hashtbl.iter
+    (fun (_, op) n -> if n > 0 then Hashtbl.replace executed_ops op ())
+    seg.exec_count;
   Hashtbl.iter
     (fun op at ->
       if
-        Time_ns.diff seg.max_at at > tail_slack && not (executed_somewhere op)
+        Time_ns.diff seg.max_at at > tail_slack
+        && not (Hashtbl.mem executed_ops op)
       then violate "op %s committed @%d but never executed" (opid_str op) at)
     seg.commit;
   (* 5. completeness, for plans that must not lose ops *)

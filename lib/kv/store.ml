@@ -28,10 +28,20 @@ let import t bindings =
     bindings
 
 let fingerprint t =
-  (* Content digest over sorted bindings: order-insensitive, so two
-     replicas converge iff every key holds the same final value —
-     protocols that execute commuting operations out of order (EPaxos)
-     still fingerprint equal. *)
-  let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table [] in
-  let sorted = List.sort compare bindings in
-  Hashtbl.hash (t.version, sorted)
+  (* Content digest over the version and the bindings in key order:
+     order-insensitive, so two replicas converge iff every key holds
+     the same final value — protocols that execute commuting operations
+     out of order (EPaxos) still fingerprint equal. Every binding is
+     serialized into the digest; [Hashtbl.hash] would look at only the
+     first few. *)
+  let keys =
+    List.sort Int.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])
+  in
+  let b = Buffer.create (8 + (16 * Hashtbl.length t.table)) in
+  Buffer.add_int64_le b (Int64.of_int t.version);
+  List.iter
+    (fun k ->
+      Buffer.add_int64_le b (Int64.of_int k);
+      Buffer.add_int64_le b (Hashtbl.find t.table k))
+    keys;
+  Int64.to_int (String.get_int64_le (Digest.string (Buffer.contents b)) 0)

@@ -81,6 +81,16 @@ let capacity t = t.cap
 
 let set_tap t tap = t.tap <- tap
 
+let add_tap t f =
+  t.tap <-
+    Some
+      (match t.tap with
+      | None -> f
+      | Some g ->
+        fun ev ->
+          g ev;
+          f ev)
+
 let record t ev =
   t.ring.(t.next mod t.cap) <- ev;
   t.next <- t.next + 1;

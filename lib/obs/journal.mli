@@ -3,9 +3,11 @@
     deliveries and drops, periodic timer fires, protocol phase
     transitions, op lifecycle events, and sampled gauges.
 
-    Like {!Trace}, the journal lives below [lib/smr] in the dependency
-    order, so nodes are plain [int]s and operations are [(client,
-    seq)] pairs; the layers above translate.
+    It is the run's one per-operation event source: per-op span trees
+    ({!Trace}), provenance, the checker and timelines are all read off
+    it. The journal lives below [lib/smr] in the dependency order, so
+    nodes are plain [int]s and operations are [(client, seq)] pairs;
+    the layers above translate.
 
     Recording is opt-in via the {!sink} indirection: every emission
     site guards with {!enabled} (or calls {!emit}, which is a no-op on
@@ -156,6 +158,10 @@ val set_tap : t -> (event -> unit) option -> unit
     online timeline aggregation stays exact on long runs. Costs one
     option match per recorded event; a journal-less run is
     unaffected. *)
+
+val add_tap : t -> (event -> unit) -> unit
+(** Install a tap beside the current one (if any), which keeps running
+    first: how a {!Trace} rides along with an online timeline. *)
 
 (** {2 Emission sink} *)
 

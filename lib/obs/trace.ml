@@ -1,60 +1,37 @@
 open Domino_sim
 
-type opid = int * int
+type t = {
+  nth : int;
+  mutable submits : int;
+  mutable focus : Journal.opid option;
+  mutable events : Journal.event list;  (** newest first *)
+}
 
-type event =
-  | Submit of { op : opid; node : int; at : Time_ns.t }
-  | Sent of {
-      op : opid;
-      seq : int;
-      src : int;
-      dst : int;
-      cls : string;
-      at : Time_ns.t;
-    }
-  | Delivered of {
-      op : opid;
-      seq : int;
-      src : int;
-      dst : int;
-      cls : string;
-      sent_at : Time_ns.t;
-      at : Time_ns.t;
-    }
-  | Committed of { op : opid; node : int; at : Time_ns.t }
-  | Executed of { op : opid; replica : int; at : Time_ns.t }
+let create ~nth = { nth; submits = 0; focus = None; events = [] }
 
-let event_op = function
-  | Submit { op; _ }
-  | Sent { op; _ }
-  | Delivered { op; _ }
-  | Committed { op; _ }
-  | Executed { op; _ } -> op
+let same ((c, s) : Journal.opid) ((c', s') : Journal.opid) = c = c' && s = s'
 
-type t = { mutable focus : opid option; mutable events : event list }
+(* The operation a span-tree event belongs to; [None] for every other
+   kind of event and for messages that carry no operation. *)
+let op_of : Journal.event -> Journal.opid option = function
+  | Submit { op; _ } | Commit { op; _ } | Execute { op; _ } -> Some op
+  | Msg_sent { op; _ } | Msg_delivered { op; _ } -> op
+  | _ -> None
 
-type sink = Null | Rec of t
-
-let null = Null
-
-let create () = { focus = None; events = [] }
-
-let sink t = Rec t
-
-let set_focus t op = t.focus <- Some op
+let tap t (ev : Journal.event) =
+  (match ev with
+  | Submit { op; _ } ->
+    if t.submits = t.nth then t.focus <- Some op;
+    t.submits <- t.submits + 1
+  | _ -> ());
+  match t.focus with
+  | None -> ()
+  | Some f -> (
+    match op_of ev with
+    | Some op when same op f -> t.events <- ev :: t.events
+    | _ -> ())
 
 let focus t = t.focus
-
-let enabled = function Null -> false | Rec t -> t.focus <> None
-
-let emit sink event =
-  match sink with
-  | Null -> ()
-  | Rec t -> begin
-    match t.focus with
-    | Some f when f = event_op event -> t.events <- event :: t.events
-    | _ -> ()
-  end
 
 let events t = List.rev t.events
 
@@ -64,25 +41,36 @@ let ms at = Printf.sprintf "%.3fms" (Time_ns.to_ms_f at)
 
 let span_ms a b = Printf.sprintf "+%.3fms" (Time_ns.to_ms_f (Time_ns.diff b a))
 
-let label base = function
+(* [tap] keeps only the five kinds [op_of] maps to an operation, so the
+   renderer's catch-all cases are never taken. *)
+let time_of : Journal.event -> Time_ns.t = function
+  | Submit { at; _ }
+  | Commit { at; _ }
+  | Execute { at; _ }
+  | Msg_sent { at; _ }
+  | Msg_delivered { at; _ } -> at
+  | _ -> Time_ns.zero
+
+let label base : Journal.event -> string = function
   | Submit { node; at; _ } ->
     Printf.sprintf "submit at n%d @ %s" node (ms at)
-  | Sent { src; dst; cls; at; _ } ->
+  | Msg_sent { src; dst; cls; at; _ } ->
     Printf.sprintf "%s n%d->n%d @ %s (%s)" cls src dst (ms at) (span_ms base at)
-  | Delivered { src; dst; cls; sent_at; at; _ } ->
+  | Msg_delivered { src; dst; cls; sent_at; at; _ } ->
     Printf.sprintf "deliver %s n%d->n%d @ %s (wire %s)" cls src dst (ms at)
       (span_ms sent_at at)
-  | Committed { node; at; _ } ->
+  | Commit { node; at; _ } ->
     Printf.sprintf "commit learned at n%d @ %s (%s)" node (ms at)
       (span_ms base at)
-  | Executed { replica; at; _ } ->
+  | Execute { replica; at; _ } ->
     Printf.sprintf "execute at replica n%d @ %s (%s)" replica (ms at)
       (span_ms base at)
+  | _ -> ""
 
 let span_tree t =
-  match events t with
-  | [] -> ""
-  | evs ->
+  match (t.focus, events t) with
+  | None, _ | _, [] -> ""
+  | Some (cli, seq_), evs ->
     let evs = Array.of_list evs in
     let n = Array.length evs in
     (* Causal parent of event i, as an index < i; -1 = root. In a
@@ -94,7 +82,7 @@ let span_tree t =
       let found = ref (-1) in
       for j = 0 to before - 1 do
         match evs.(j) with
-        | Delivered { dst; _ } when dst = node -> found := j
+        | Msg_delivered { dst; _ } when dst = node -> found := j
         | _ -> ()
       done;
       !found
@@ -111,24 +99,24 @@ let span_tree t =
     let sent_index seq =
       let found = ref (-1) in
       Array.iteri
-        (fun j e ->
-          match e with Sent { seq = s; _ } when s = seq -> found := j | _ -> ())
+        (fun j (e : Journal.event) ->
+          match e with
+          | Msg_sent { seq = s; _ } when s = seq -> found := j
+          | _ -> ())
         evs;
       !found
     in
+    let handler_at i node =
+      let d = latest_delivery_at ~before:i node in
+      if d >= 0 then d else latest_submit_at ~before:i node
+    in
     let parent i =
       match evs.(i) with
-      | Submit _ -> -1
-      | Delivered { seq; _ } -> sent_index seq
-      | Sent { src; _ } ->
-        let d = latest_delivery_at ~before:i src in
-        if d >= 0 then d else latest_submit_at ~before:i src
-      | Committed { node; _ } ->
-        let d = latest_delivery_at ~before:i node in
-        if d >= 0 then d else latest_submit_at ~before:i node
-      | Executed { replica; _ } ->
-        let d = latest_delivery_at ~before:i replica in
-        if d >= 0 then d else latest_submit_at ~before:i replica
+      | Msg_delivered { seq; _ } -> sent_index seq
+      | Msg_sent { src = node; _ }
+      | Commit { node; _ }
+      | Execute { replica = node; _ } -> handler_at i node
+      | _ -> -1
     in
     let children = Array.make n [] in
     let roots = ref [] in
@@ -137,16 +125,8 @@ let span_tree t =
       if p >= 0 then children.(p) <- i :: children.(p)
       else roots := i :: !roots
     done;
-    let time_of = function
-      | Submit { at; _ }
-      | Sent { at; _ }
-      | Delivered { at; _ }
-      | Committed { at; _ }
-      | Executed { at; _ } -> at
-    in
     let base = time_of evs.(0) in
     let buf = Buffer.create 512 in
-    let cli, seq_ = event_op evs.(0) in
     Buffer.add_string buf (Printf.sprintf "op n%d#%d\n" cli seq_);
     let rec render prefix is_last i =
       Buffer.add_string buf prefix;

@@ -1,83 +1,45 @@
-(** Per-operation message tracing.
+(** Per-operation span trees, read off the flight-recorder journal.
 
     A trace follows one command through the whole replication stack:
     the client submit, every protocol message that carries the
-    operation (tagged with its {!Msg_class}-style label by the
-    protocol's classifier), the commit at the submitting client, and
-    the executions at the replicas. Events are recorded by the
-    {!Fifo_net} trace hook and by the experiment harness's observer,
-    then rendered as a causally-ordered span tree.
+    operation (labelled with its message class), the commit at the
+    submitting client, and the executions at the replicas. All of these
+    are {!Journal} events already; a trace is a journal tap
+    ({!Journal.add_tap}) that keeps the events of one operation, then
+    renders them as a causally-ordered span tree.
 
     Causality needs no extra plumbing: the simulator is
     single-threaded, so a message sent by node [n] was sent from inside
-    the handler of the most recent delivery at [n] — the recorder
+    the handler of the most recent delivery at [n] — the renderer
     recovers parent/child edges from event order alone.
 
-    The [sink] is the zero-cost-when-disabled half: {!null} makes every
-    hook a no-op (callers guard event construction with {!enabled}),
-    and a recording sink only keeps events for its focused operation,
-    so tracing one op out of millions stays O(events of that op). *)
-
-open Domino_sim
-
-type opid = int * int
-(** (client node, per-client sequence) — structurally [Op.id], spelled
-    out here so lib/obs stays below lib/smr in the dependency order. *)
-
-type event =
-  | Submit of { op : opid; node : int; at : Time_ns.t }
-  | Sent of {
-      op : opid;
-      seq : int;  (** network-wide message sequence, pairs with Delivered *)
-      src : int;
-      dst : int;
-      cls : string;
-      at : Time_ns.t;
-    }
-  | Delivered of {
-      op : opid;
-      seq : int;
-      src : int;
-      dst : int;
-      cls : string;
-      sent_at : Time_ns.t;
-      at : Time_ns.t;
-    }
-  | Committed of { op : opid; node : int; at : Time_ns.t }
-  | Executed of { op : opid; replica : int; at : Time_ns.t }
+    Because it is a tap, a trace sees the complete event stream even
+    after the journal's ring overwrites old events, and it keeps only
+    its operation's events, so following one op out of millions stays
+    O(events of that op). *)
 
 type t
-(** A recording trace. *)
+(** A tap following one operation. *)
 
-type sink
+val create : nth:int -> t
+(** Follows the [nth] (0-based) {!Journal.Submit} it is fed: the N-th
+    submitted operation of the run, counted from when the tap was
+    installed. Records nothing until then. *)
 
-val null : sink
-(** Discards everything; {!enabled} is [false]. *)
+val tap : t -> Journal.event -> unit
+(** Feed one journal event (install with {!Journal.add_tap}). *)
 
-val create : unit -> t
-(** A recorder with no focus yet: records nothing until {!set_focus}. *)
+val focus : t -> Journal.opid option
+(** The followed operation, once its submit has been seen. *)
 
-val sink : t -> sink
-
-val set_focus : t -> opid -> unit
-(** Start keeping events tagged with this operation (one focus per
-    recorder; re-focusing clears nothing, earlier events remain). *)
-
-val focus : t -> opid option
-
-val enabled : sink -> bool
-(** [true] iff the sink records (a focused recorder): hook sites check
-    this before building an event. *)
-
-val emit : sink -> event -> unit
-(** Record the event if the sink is enabled and the event's [op]
-    matches the focus. *)
-
-val events : t -> event list
-(** In record (= simulated-time) order. *)
+val events : t -> Journal.event list
+(** The followed operation's [Submit], [Commit], [Execute],
+    [Msg_sent] and [Msg_delivered] events, in record (= simulated-time)
+    order. *)
 
 val span_tree : t -> string
-(** The focused op's life as an indented tree: submit at the root, each
-    message as [cls src->dst @ send (+delay)] nested under the delivery
-    that caused it, commit and executions as leaves. Deterministic:
-    same seed, same tree. Empty string when nothing was recorded. *)
+(** The followed operation's life as an indented tree: submit at the
+    root, each message as [cls src->dst @ send (+delay)] nested under
+    the delivery that caused it, commit and executions as leaves.
+    Deterministic: same seed, same tree. Empty string while there is
+    no focus. *)

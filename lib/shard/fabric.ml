@@ -34,7 +34,7 @@ type group_result = {
 
 type result = {
   metrics : Metrics.t;
-  trace : Trace.t;
+  trace : string;
   groups : group_result array;
   provenance : Provenance.breakdown list;
   client_commit_ms : (string * Domino_stats.Summary.t) array;
@@ -66,13 +66,11 @@ type live = {
 }
 
 (* The harness-side observability observer: run-level counters, the
-   commit/execution latency histograms, and the submit/commit/execute
-   span events for the focused operation. Counter names carry the
-   group prefix, so each group of a fabric owns its own [run.*]
-   instruments; the single-group prefix is empty and keeps the
-   historical names. *)
-let obs_observer ~prefix metrics trace tracer jsink ~trace_op ~submit_count
-    ~exec_replica_for ~note_commit =
+   commit/execution latency histograms, and the journal's op lifecycle
+   events (submit/commit/execute). Counter names carry the group
+   prefix, so each group of a fabric owns its own [run.*] instruments;
+   the single-group prefix is empty and keeps the historical names. *)
+let obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit =
   let counter n = Metrics.counter metrics (prefix ^ n) in
   let submitted_c = counter "run.submitted" in
   let retries_c = counter "run.retries" in
@@ -97,12 +95,6 @@ let obs_observer ~prefix metrics trace tracer jsink ~trace_op ~submit_count
         else begin
           Metrics.inc submitted_c;
           Hashtbl.replace submit_times (Op.id op) now;
-          (* The focus counter is cluster-wide: the N-th submitted op
-             of the whole run, whichever group it routed to. *)
-          (match trace_op with
-          | Some n when !submit_count = n -> Trace.set_focus tracer (Op.id op)
-          | _ -> ());
-          incr submit_count;
           if Journal.enabled jsink then
             Journal.emit jsink
               (Journal.Submit
@@ -111,10 +103,7 @@ let obs_observer ~prefix metrics trace tracer jsink ~trace_op ~submit_count
                    node = op.Op.client;
                    key = op.Op.key;
                    at = now;
-                 });
-          if Trace.enabled trace then
-            Trace.emit trace
-              (Trace.Submit { op = Op.id op; node = op.Op.client; at = now })
+                 })
         end);
     on_commit =
       (fun op ~now ->
@@ -128,10 +117,7 @@ let obs_observer ~prefix metrics trace tracer jsink ~trace_op ~submit_count
         | None -> ());
         if Journal.enabled jsink then
           Journal.emit jsink
-            (Journal.Commit { op = Op.id op; node = op.Op.client; at = now });
-        if Trace.enabled trace then
-          Trace.emit trace
-            (Trace.Committed { op = Op.id op; node = op.Op.client; at = now }));
+            (Journal.Commit { op = Op.id op; node = op.Op.client; at = now }));
     on_execute =
       (fun ~replica op ~now ->
         Metrics.inc executed_c;
@@ -141,10 +127,7 @@ let obs_observer ~prefix metrics trace tracer jsink ~trace_op ~submit_count
            | None -> ());
         if Journal.enabled jsink then
           Journal.emit jsink
-            (Journal.Execute { op = Op.id op; replica; at = now });
-        if Trace.enabled trace then
-          Trace.emit trace
-            (Trace.Executed { op = Op.id op; replica; at = now }));
+            (Journal.Execute { op = Op.id op; replica; at = now }));
     on_phase =
       (fun ~node ~op ~name ~dur ~now ->
         if Journal.enabled jsink then
@@ -238,10 +221,6 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     | None -> duration - Stdlib.min (Time_ns.sec 2) (duration / 8)
   in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let tracer = Trace.create () in
-  let trace =
-    match trace_op with Some _ -> Trace.sink tracer | None -> Trace.null
-  in
   let engine = Engine.create ~seed () in
   (* An online timeline is fed by the journal's tap, so it needs a
      journal even when the caller only wants the timeline: a capacity-1
@@ -253,13 +232,28 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
     | None, Some _ -> Some (Journal.create ~capacity:1 ())
     | j, _ -> j
   in
-  let jsink =
-    match journal with Some j -> Journal.sink j | None -> Journal.null
-  in
   let flight =
     match journal with
     | Some j -> Some (Recorder.attach ~sample_every ?timeline j engine)
     | None -> None
+  in
+  (* [trace_op] follows one op by a journal tap, installed after the
+     recorder's timeline tap and running beside it. It sees every event
+     even past ring overflow. Without a caller's journal it rides a
+     capacity-1 ring of its own with no recorder attached (no sampling
+     timer, no provenance pass), so the run's events and metrics are
+     those of an untraced run. *)
+  let trace = Option.map (fun nth -> Trace.create ~nth) trace_op in
+  let sink_journal =
+    match (journal, trace) with
+    | None, Some _ -> Some (Journal.create ~capacity:1 ())
+    | j, _ -> j
+  in
+  (match (sink_journal, trace) with
+  | Some j, Some tr -> Journal.add_tap j (Trace.tap tr)
+  | _ -> ());
+  let jsink =
+    match sink_journal with Some j -> Journal.sink j | None -> Journal.null
   in
   (* Group composition header, multi-group only: single-group journals
      stay byte-identical to the flat (pre-fabric) layout. *)
@@ -303,11 +297,9 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
       Protocol_intf.Cluster.engine;
       topo = config.topo;
       metrics;
-      trace;
       journal = jsink;
     }
   in
-  let submit_count = ref 0 in
   let note_commit : (Op.id -> unit) ref = ref (fun _ -> ()) in
   let make_group k (spec : group_spec) : live =
     let prefix = if n_groups = 1 then "" else Printf.sprintf "g%d." k in
@@ -362,8 +354,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
         (Observer.both
            (Observer.Recorder.observer recorder ~exec_replica_for ())
            store_observer)
-        (obs_observer ~prefix metrics trace tracer jsink ~trace_op
-           ~submit_count ~exec_replica_for ~note_commit)
+        (obs_observer ~prefix metrics jsink ~exec_replica_for ~note_commit)
     in
     let observer =
       match retry with
@@ -771,7 +762,7 @@ let run ?(seed = 42L) ?(rate = 200.) ?(alpha = 0.75)
   in
   {
     metrics;
-    trace = tracer;
+    trace = (match trace with Some tr -> Trace.span_tree tr | None -> "");
     groups = group_results;
     provenance;
     client_commit_ms;

@@ -51,7 +51,10 @@ type group_result = {
 
 type result = {
   metrics : Metrics.t;
-  trace : Trace.t;
+  trace : string;
+      (** the [trace_op] operation's span tree ({!Trace.span_tree});
+          empty without [trace_op] or when the run submitted fewer
+          operations *)
   groups : group_result array;
   provenance : Provenance.breakdown list;
   client_commit_ms : (string * Domino_stats.Summary.t) array;
@@ -96,6 +99,11 @@ val run :
     router's key->group map, so multi-group timelines attribute per
     group — including across mid-run slot migrations; call
     [Timeline.finish] on it after [run] returns.
+
+    [trace_op] follows the N-th (0-based) submitted operation of the
+    whole run, whichever group it routes to, by a {!Trace} tap on the
+    journal. Without [journal] the tap gets a private capacity-1 ring
+    and no recorder, so tracing leaves the run's metrics unchanged.
 
     Per-group retry/failover: under [?faults], a group whose params arm
     an in-protocol client retry ([retry_timeout > 0]) relies on it;

@@ -1,11 +1,12 @@
 (** Array-based binary min-heap keyed by [(time, sequence)].
 
-    The event queue of the simulator. Ties on time are broken by an
-    insertion sequence number so that the execution order of
-    simultaneous events is deterministic (insertion order). Cancelled
-    events are removed lazily, but the heap compacts itself whenever
-    dead entries outnumber live ones, so cancellation-heavy workloads
-    stay bounded by the live event count. *)
+    The reference event queue: the simulator runs on {!Wheel}, whose
+    exact pop order is property-tested against this heap. Ties on time
+    are broken by an insertion sequence number so that the execution
+    order of simultaneous events is deterministic (insertion order).
+    Cancelled events are removed lazily, but the heap compacts itself
+    whenever dead entries outnumber live ones, so cancellation-heavy
+    workloads stay bounded by the live event count. *)
 
 type 'a t
 

@@ -7,14 +7,15 @@
    [Time_ns.t] (10 + 5*11 = 65 bits) — no separate overflow structure
    is needed.
 
-   Ordering contract (must match [Pheap] exactly): entries pop in
-   (time, seq) order, where [seq] is the global insertion sequence —
-   equal-time entries pop in insertion order. Wheel slots alone cannot
-   provide that (a slot holds a 1 us band, unsorted), so entries whose
-   level-0 tick has been reached by the cursor move into [near], a
-   small binary min-heap keyed by (time, seq). [pop] only ever takes
-   from [near]; every wheel entry has a strictly later tick than every
-   near entry, so the near minimum is the global minimum.
+   Ordering contract (property-tested against the reference binary
+   heap): entries pop in (time, seq) order, where [seq] is the global
+   insertion sequence — equal-time entries pop in insertion order.
+   Wheel slots alone cannot provide that (a slot holds a 1 us band,
+   unsorted), so entries whose level-0 tick has been reached by the
+   cursor move into [near], a small binary min-heap keyed by (time,
+   seq). [pop] only ever takes from [near]; every wheel entry has a
+   strictly later tick than every near entry, so the near minimum is
+   the global minimum.
 
    The cursor [cur] is the level-0 tick up to which slots have been
    drained. Advancing it is a bitmap scan: per-level 32-bit occupancy
@@ -30,10 +31,10 @@
    free list and are recycled by later [add]s, making the fire-once
    path allocation-free in steady state. [push] entries return their
    handle for [cancel] and are never recycled (a stale handle must not
-   alias a reused entry). Cancellation is lazy, as in [Pheap]: the
-   entry is marked and dropped when its slot drains or it reaches the
-   top of [near]; [cancel] clears the stored value immediately so the
-   closure is not retained for the remaining horizon. *)
+   alias a reused entry). Cancellation is lazy: the entry is marked and
+   dropped when its slot drains or it reaches the top of [near];
+   [cancel] clears the stored value immediately so the closure is not
+   retained for the remaining horizon. *)
 
 let g0_bits = 10
 let level_bits = 5

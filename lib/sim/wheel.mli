@@ -1,25 +1,25 @@
 (** Hierarchical timing wheel keyed by [(time, sequence)].
 
-    A drop-in alternative to {!Pheap} for the simulator's event queue:
-    O(1) amortized insert and extract for the short-horizon events that
-    dominate a run (link deliveries, periodic timers), against the
-    heap's O(log n). Eleven levels of 32 slots cover the entire
-    [Time_ns.t] range (a level-0 slot is 1.024 us, each level 32x
-    coarser), so arbitrarily long timers need no overflow structure.
+    The simulator's event queue: O(1) amortized insert and extract for
+    the short-horizon events that dominate a run (link deliveries,
+    periodic timers), against a binary heap's O(log n). Eleven levels
+    of 32 slots cover the entire [Time_ns.t] range (a level-0 slot is
+    1.024 us, each level 32x coarser), so arbitrarily long timers need
+    no overflow structure.
 
-    The pop order is {e exactly} {!Pheap}'s: ascending [(time, seq)]
-    where [seq] is the global insertion sequence — equal-time entries
-    pop in insertion order. Imminent entries are promoted into a small
-    binary heap that enforces this total order; wheel slots only ever
-    hold entries whose slot lies strictly beyond it.
+    The pop order is {e exactly} ascending [(time, seq)] where [seq] is
+    the global insertion sequence — equal-time entries pop in insertion
+    order, property-tested against the library's reference binary
+    heap. Imminent entries are promoted into a small binary heap that
+    enforces this total order; wheel slots only ever hold entries whose
+    slot lies strictly beyond it.
 
     Fire-once entries inserted with {!add} return no handle and are
     recycled through an internal free list once popped, so steady-state
     insertion allocates nothing. {!push} returns a {!handle} for
     {!cancel} and is never recycled (a stale handle must not alias a
-    reused entry). Cancellation is lazy, as in [Pheap]: cancelled
-    entries are skipped at extraction, and their stored value is
-    released eagerly. *)
+    reused entry). Cancellation is lazy: cancelled entries are skipped
+    at extraction, and their stored value is released eagerly. *)
 
 type 'a t
 

@@ -30,7 +30,6 @@ module Cluster = struct
     engine : Engine.t;
     topo : Topology.t;
     metrics : Metrics.t;
-    trace : Trace.sink;
     journal : Journal.sink;
   }
 end
@@ -49,7 +48,6 @@ module Group = struct
   }
 
   let metrics g = g.cluster.Cluster.metrics
-  let trace g = g.cluster.Cluster.trace
   let journal g = g.cluster.Cluster.journal
   let qualify g name = g.prefix ^ name
 end
@@ -144,13 +142,10 @@ let instrument (type msg) (env : Group.env) ~name
   let sent = pick "sent"
   and delivered = pick "delivered"
   and dropped = pick "dropped" in
-  let trace = Group.trace env in
   let journal = Group.journal env in
   (* The journal sink is fixed at construction (Null vs Rec), so the
      enabled test hoists out of the per-message hooks entirely: a
-     sinkless run pays one counter bump per event and nothing else. The
-     trace check stays per-event — its focus op can be set after
-     wiring. *)
+     sinkless run pays one counter bump per event and nothing else. *)
   let journal_on = Journal.enabled journal in
   Fifo_net.set_message_hooks net
     ~sent:(fun ~seq ~src ~dst msg ~at ->
@@ -160,16 +155,7 @@ let instrument (type msg) (env : Group.env) ~name
         Journal.emit journal
           (Journal.Msg_sent
              { seq; src; dst; cls = Msg_class.to_string cls;
-               op = Option.map Op.id (op_of msg); at });
-      if Trace.enabled trace then begin
-        match op_of msg with
-        | Some op ->
-          Trace.emit trace
-            (Trace.Sent
-               { op = Op.id op; seq; src; dst;
-                 cls = Msg_class.to_string cls; at })
-        | None -> ()
-      end)
+               op = Option.map Op.id (op_of msg); at }))
     ~delivered:(fun ~seq ~src ~dst msg ~sent_at ~at ->
       let cls = classify msg in
       Metrics.inc (delivered cls);
@@ -177,16 +163,7 @@ let instrument (type msg) (env : Group.env) ~name
         Journal.emit journal
           (Journal.Msg_delivered
              { seq; src; dst; cls = Msg_class.to_string cls;
-               op = Option.map Op.id (op_of msg); sent_at; at });
-      if Trace.enabled trace then begin
-        match op_of msg with
-        | Some op ->
-          Trace.emit trace
-            (Trace.Delivered
-               { op = Op.id op; seq; src; dst;
-                 cls = Msg_class.to_string cls; sent_at; at })
-        | None -> ()
-      end)
+               op = Option.map Op.id (op_of msg); sent_at; at }))
     ~dropped:(fun ~seq ~src ~dst msg ~reason ~at ->
       let cls = classify msg in
       Metrics.inc (dropped cls);

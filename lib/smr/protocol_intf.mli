@@ -18,7 +18,7 @@ open Domino_obs
 
     - {!Cluster.env} is shared by every group on an engine: the engine
       itself, the WAN topology, and the cluster-wide observability
-      sinks (metrics registry, trace sink, flight-recorder journal).
+      sinks (metrics registry, flight-recorder journal).
     - {!Group.env} is one group's slice: its replicas and roles, its
       stable stores, its typed {!params}, its harness observer, and a
       [prefix] that namespaces everything the group emits into the
@@ -53,7 +53,6 @@ module Cluster : sig
     engine : Engine.t;
     topo : Topology.t;
     metrics : Metrics.t;
-    trace : Trace.sink;
     journal : Journal.sink;
         (** the flight recorder's event stream; {!Journal.null} when
             recording is off *)
@@ -83,7 +82,6 @@ module Group : sig
   }
 
   val metrics : env -> Metrics.t
-  val trace : env -> Trace.sink
   val journal : env -> Journal.sink
 
   val qualify : env -> string -> string

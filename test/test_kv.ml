@@ -38,6 +38,21 @@ let test_store_fingerprint_same_key_order () =
   check_bool "same-key reorder detected" true
     (Store.fingerprint a <> Store.fingerprint b)
 
+(* The digest covers every binding, not a prefix: two 1000-key stores
+   that differ only at the last key must not fingerprint equal. *)
+let test_store_fingerprint_full_content () =
+  let fill last =
+    let s = Store.create () in
+    for key = 0 to 999 do
+      Store.apply s (op ~key ~value:(if key = 999 then last else 7L))
+    done;
+    s
+  in
+  let a = fill 1L and b = fill 2L in
+  check_int "same version" (Store.version a) (Store.version b);
+  check_bool "difference at key 999 detected" true
+    (Store.fingerprint a <> Store.fingerprint b)
+
 let test_zipf_range () =
   let rng = Rng.create 3L in
   let z = Workload.Zipf.create ~alpha:0.75 ~n:1_000 rng in
@@ -130,6 +145,8 @@ let () =
           Alcotest.test_case "fingerprint content" `Quick test_store_fingerprint_content;
           Alcotest.test_case "fingerprint same-key order" `Quick
             test_store_fingerprint_same_key_order;
+          Alcotest.test_case "fingerprint full content" `Quick
+            test_store_fingerprint_full_content;
         ] );
       ( "zipf",
         [

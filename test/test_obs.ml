@@ -195,27 +195,45 @@ let test_json_deterministic () =
   check_bool "counters present" true (contains s1 "a.counter");
   check_bool "histogram buckets present" true (contains s1 "\"buckets\"")
 
-(* --- trace sink --------------------------------------------------- *)
+(* --- trace tap ----------------------------------------------------- *)
 
 let test_trace_disabled_by_default () =
-  check_bool "null sink disabled" true (not (Trace.enabled Trace.null));
-  let t = Trace.create () in
-  check_bool "unfocused recorder disabled" true
-    (not (Trace.enabled (Trace.sink t)));
+  let t = Trace.create ~nth:1 in
+  let at = Domino_sim.Time_ns.(add zero (ms 5)) in
+  let j = Journal.create ~capacity:1 () in
+  Journal.add_tap j (Trace.tap t);
+  Journal.record j (Journal.Commit { op = (3, 0); node = 3; at });
+  Journal.record j (Journal.Submit { op = (3, 0); node = 3; key = 1; at });
+  check_bool "no focus before the N-th submit" true (Trace.focus t = None);
   check_bool "no events" true (Trace.events t = []);
   Alcotest.(check string) "empty tree" "" (Trace.span_tree t)
 
 let test_trace_records_focused_op_only () =
-  let t = Trace.create () in
-  let sink = Trace.sink t in
-  Trace.set_focus t (3, 0);
-  check_bool "focused recorder enabled" true (Trace.enabled sink);
+  let t = Trace.create ~nth:1 in
+  (* The trace rides beside another tap: both see every event. *)
+  let seen = ref 0 in
+  let j = Journal.create ~capacity:1 () in
+  Journal.set_tap j (Some (fun _ -> incr seen));
+  Journal.add_tap j (Trace.tap t);
   let at = Domino_sim.Time_ns.(add zero (ms 5)) in
-  Trace.emit sink (Trace.Submit { op = (3, 0); node = 3; at });
-  Trace.emit sink (Trace.Submit { op = (4, 9); node = 4; at });
-  check_int "only the focused op is kept" 1 (List.length (Trace.events t));
+  let msg op = Journal.Msg_sent { seq = 0; src = 3; dst = 0; cls = "proposal"; op; at } in
+  List.iter (Journal.record j)
+    [
+      Journal.Submit { op = (4, 9); node = 4; key = 1; at };
+      Journal.Submit { op = (3, 0); node = 3; key = 2; at };
+      msg (Some (3, 0));
+      msg (Some (4, 9));
+      msg None;
+      Journal.Timer_fired { at };
+      Journal.Commit { op = (3, 0); node = 3; at };
+    ];
+  check_int "first tap saw everything" 7 !seen;
+  check_bool "focus is the second submit" true (Trace.focus t = Some (3, 0));
+  check_int "only the focused op is kept" 3 (List.length (Trace.events t));
   let tree = Trace.span_tree t in
-  check_bool "tree names the op" true (contains tree "n3#0")
+  check_bool "tree names the op" true (contains tree "n3#0");
+  check_bool "message nested under the submit" true
+    (contains tree "   |- proposal n3->n0")
 
 let () =
   Alcotest.run "obs"

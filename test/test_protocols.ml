@@ -105,7 +105,6 @@ let direct_run name =
         Protocol_intf.Cluster.engine;
         topo = Topology.na;
         metrics = Metrics.create ();
-        trace = Trace.null;
         journal = Journal.null;
       }
     in
@@ -168,17 +167,49 @@ let test_metrics_deterministic () =
   let a = json () and b = json () in
   Alcotest.(check string) "same seed, byte-identical metrics JSON" a b
 
+let read_file path =
+  (* runtest runs with cwd = _build/default/test (goldens staged by the
+     dune deps); fall back to the source path for `dune exec` from the
+     project root *)
+  let path = if Sys.file_exists path then path else "test/" ^ path in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The CLI's [run --seed 42 --setting na3 --protocol domino --duration 3
+   --trace-op 3], as pinned in the golden. *)
+let na3_trace_tree ?journal () =
+  let r =
+    Exp_common.run ~seed:42L ~duration:(Time_ns.sec 3) ~trace_op:3 ?journal
+      Exp_common.na3 Exp_common.domino_default
+  in
+  r.Exp_common.trace
+
 let test_trace_deterministic () =
   let tree () =
     let r =
       Exp_common.run ~seed:7L ~rate:100. ~duration:(Time_ns.sec 8) ~trace_op:3
         Exp_common.fig7_double Exp_common.domino_default
     in
-    Trace.span_tree r.Exp_common.trace
+    r.Exp_common.trace
   in
   let a = tree () and b = tree () in
   check_bool "trace non-empty" true (String.length a > 0);
-  Alcotest.(check string) "same seed, identical span tree" a b
+  Alcotest.(check string) "same seed, identical span tree" a b;
+  Alcotest.(check string) "na3 span tree matches the golden"
+    (read_file "golden/na3-domino.trace-op3.tree")
+    (na3_trace_tree ())
+
+(* The trace is a journal tap, so a ring far too small for the run
+   still yields the complete tree. *)
+let test_trace_past_ring_overflow () =
+  let small = Journal.create ~capacity:256 () in
+  let overflowed = na3_trace_tree ~journal:small () in
+  check_bool "ring overflowed" true (Journal.dropped small > 0);
+  Alcotest.(check string) "same tree as an unbounded run"
+    (na3_trace_tree ~journal:(Journal.create ()) ())
+    overflowed
 
 let () =
   Alcotest.run "protocols"
@@ -198,5 +229,7 @@ let () =
         [
           Alcotest.test_case "metrics json" `Slow test_metrics_deterministic;
           Alcotest.test_case "span tree" `Slow test_trace_deterministic;
+          Alcotest.test_case "span tree past ring overflow" `Slow
+            test_trace_past_ring_overflow;
         ] );
     ]

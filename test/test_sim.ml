@@ -510,10 +510,10 @@ let test_engine_past_deadline_clamped () =
    the deadline: nothing may execute, the clock must land exactly on
    the deadline (never on the cancelled entries' or the future event's
    time), and the future event must still fire later at its own
-   instant. Pinned for both queue implementations — the wheel answers
-   this from a peek without advancing its cursor. *)
-let run_until_pins_clock scheduler () =
-  let e = Engine.create ~scheduler () in
+   instant. The wheel answers this from a peek without advancing its
+   cursor. *)
+let test_engine_run_until_pins_clock () =
+  let e = Engine.create () in
   let a = Engine.schedule_cancellable e ~delay:(Time_ns.ms 1) (fun () -> ()) in
   let b = Engine.schedule_cancellable e ~delay:(Time_ns.ms 2) (fun () -> ()) in
   Engine.cancel e a;
@@ -529,35 +529,6 @@ let run_until_pins_clock scheduler () =
   check_int "fires at its own instant" (Time_ns.ms 10) !hit_at;
   check_int "exactly one event executed" 1 (Engine.events_executed e)
 
-(* One scripted run, both schedulers: execution order, periodic timers
-   (whose jitter draws come from the engine RNG) and cancellations must
-   match event for event. *)
-let test_engine_scheduler_parity () =
-  let script scheduler =
-    let e = Engine.create ~seed:99L ~scheduler () in
-    let log = Buffer.create 256 in
-    let hit tag = Buffer.add_string log (Printf.sprintf "%s@%d;" tag (Engine.now e)) in
-    ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "a"));
-    ignore (Engine.schedule e ~delay:(Time_ns.ms 3) (fun () -> hit "b"));
-    let p =
-      Engine.every e ~interval:(Time_ns.ms 2) ~jitter:(Time_ns.ms 1) (fun () ->
-          hit "tick")
-    in
-    let c = Engine.schedule_cancellable e ~delay:(Time_ns.ms 4) (fun () -> hit "dead") in
-    ignore
-      (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () ->
-           Engine.cancel e c;
-           ignore (Engine.schedule e ~delay:(Time_ns.ms 1) (fun () -> hit "nested"))));
-    Engine.run ~until:(Time_ns.ms 20) e;
-    Engine.cancel e p;
-    Engine.run ~until:(Time_ns.ms 30) e;
-    (Buffer.contents log, Engine.events_executed e, Engine.now e)
-  in
-  let lp, np, tp = script Engine.Pheap_sched in
-  let lw, nw, tw = script Engine.Wheel_sched in
-  Alcotest.(check string) "same execution trace" lp lw;
-  check_int "same event count" np nw;
-  check_int "same final clock" tp tw
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -620,10 +591,7 @@ let () =
           Alcotest.test_case "periodic self-cancel" `Quick test_engine_every_cancel_inside;
           Alcotest.test_case "clock monotone" `Quick test_engine_clock_monotone;
           Alcotest.test_case "past deadline clamps" `Quick test_engine_past_deadline_clamped;
-          Alcotest.test_case "run-until pins clock (pheap)" `Quick
-            (run_until_pins_clock Engine.Pheap_sched);
           Alcotest.test_case "run-until pins clock (wheel)" `Quick
-            (run_until_pins_clock Engine.Wheel_sched);
-          Alcotest.test_case "scheduler parity" `Quick test_engine_scheduler_parity;
+            test_engine_run_until_pins_clock;
         ] );
     ]
